@@ -40,6 +40,7 @@ import (
 	"sinrcast/internal/protocol"
 	"sinrcast/internal/scenario"
 	"sinrcast/internal/sinr"
+	"sinrcast/internal/spec"
 	"sinrcast/internal/stats"
 )
 
@@ -55,6 +56,20 @@ const (
 func die(code int, format string, args ...any) {
 	fmt.Fprintf(os.Stderr, "broadcast-sim: "+format+"\n", args...)
 	os.Exit(code)
+}
+
+// dieRun exits on a generation or run failure. A SpecError from
+// either registry — scenario parameters the builder's physics rejects
+// (dumbbell radius beyond the comm radius), protocol parameters that
+// mismatch the network (source ≥ n) — is a usage error like any other
+// bad spec; everything else (exhausted connectivity retries) is a
+// runtime failure.
+func dieRun(err error) {
+	var se *spec.SpecError
+	if errors.As(err, &se) {
+		die(exitUsage, "%v", err)
+	}
+	die(exitRun, "%v", err)
 }
 
 func main() {
@@ -106,23 +121,11 @@ func main() {
 	}
 	net, err := scenario.Generate(sp, sinr.DefaultParams(), *seed)
 	if err != nil {
-		// Physics-dependent parameter rejections from the builder are
-		// usage errors; exhausted connectivity retries are runtime.
-		var se *scenario.SpecError
-		if errors.As(err, &se) {
-			die(exitUsage, "%v", err)
-		}
-		die(exitRun, "%v", err)
+		dieRun(err)
 	}
 	res, err := protocol.RunOn(net, ps, *seed, channel)
 	if err != nil {
-		// Spec-vs-network mismatches (source ≥ n, too many wakers) are
-		// usage errors like any other bad spec.
-		var se *protocol.SpecError
-		if errors.As(err, &se) {
-			die(exitUsage, "%v", err)
-		}
-		die(exitRun, "%v", err)
+		dieRun(err)
 	}
 
 	d, _ := net.Diameter()

@@ -22,10 +22,11 @@
 //     election;
 //   - baseline algorithms (Decay, a Daum-et-al-style granularity-
 //     sensitive sweep, density-oracle flooding, GPS grid TDMA);
-//   - a protocol registry mirroring the scenario registry: every
-//     algorithm above is a named, self-describing entry runnable from
-//     a declarative ProtocolSpec ("nos:budgetmul=2,source=5" — see
-//     ParseProtocol, RunProtocol, ProtocolCatalogue).
+//   - a protocol registry on the same spec machinery as the scenario
+//     registry: every algorithm above is a named, self-describing
+//     entry runnable from a declarative ProtocolSpec
+//     ("nos:budgetmul=2,source=5" — see ParseProtocol, RunProtocol,
+//     ProtocolCatalogue).
 //
 // Quick start:
 //
@@ -158,6 +159,20 @@
 // engines with per-trial randomness (fading, weak-device) refuse to
 // clone and are rebuilt per trial.
 //
+// # Spec machinery
+//
+// Both comparison axes, geometry and algorithm, are registries built
+// on one generic registry (internal/spec). It holds the only copy of
+// the typed parameter declaration, the canonical "name:k=v,..." form
+// and its parser, default filling with range, integer and size-limit
+// checks, the registration sanity checks, sorted lookup, the -list
+// catalogue renderer, and SpecError — the one type for a spec that
+// passes the static checks but contradicts the physics or the network,
+// which every CLI treats as a usage error. A per-registry label keeps
+// each registry's own error wording. The scenario and protocol
+// packages add only what differs: the physics, seed and ForN sizing of
+// a generation, and the physical-layer Channel of a run.
+//
 // # Scenario architecture
 //
 // Topology construction is registry-driven (internal/scenario): each
@@ -175,7 +190,7 @@
 //
 // # Protocol architecture
 //
-// The algorithm axis mirrors the scenario axis (internal/protocol):
+// The algorithm axis is the second registry (internal/protocol):
 // every algorithm — NoS/S broadcast, the multi-source wake-up engine,
 // the four baseline floods, and the §5 applications through a result
 // adapter — registers once with typed parameter declarations and a

@@ -2,10 +2,11 @@
 // the paper's related-work landscape (§1.2), all running under the same
 // SINR physical engine as the paper's algorithms:
 //
-//   - Decay: the classic radio-network Decay protocol (Bar-Yehuda et
-//     al.) ported to SINR — informed stations sweep probabilities
-//     2^-1..2^-L with L = Θ(log n). Geometry-oblivious.
-//   - DaumStyle: the granularity-sensitive strategy of Daum et al. [5]:
+//   - Decay (NewDecay): the classic radio-network Decay protocol
+//     (Bar-Yehuda et al.) ported to SINR — informed stations sweep
+//     probabilities 2^-1..2^-L with L = Θ(log n). Geometry-oblivious.
+//   - DaumStyle (NewDaumStyle): the granularity-sensitive strategy of
+//     Daum et al. [5], the same Sweep policy sized differently:
 //     the probability sweep must span Θ(log n + α·log Rs) levels because
 //     without geometry knowledge the right contention scale may sit at
 //     any of the Θ(log Rs) distance scales; runtime therefore grows
@@ -183,67 +184,43 @@ func RunFloodOn(net *network.Network, pol Policy, seed uint64, source, budget in
 	return res, nil
 }
 
-// Decay is the classic probability-sweep policy: in the k-th round since
-// being informed, transmit with probability 2^-(1 + k mod L) where
+// Sweep is the probability-sweep policy shared by Decay and
+// DaumStyle: in the k-th round since being informed, transmit with
+// probability 2^-(1 + k mod L). The two differ only in how L is sized.
+type Sweep struct {
+	L    int
+	name string
+}
+
+var _ Policy = (*Sweep)(nil)
+
+// NewDecay sizes the classic Decay sweep for n stations:
 // L = ceil(log2 n) + 1.
-type Decay struct {
-	L int
-}
-
-var _ Policy = (*Decay)(nil)
-
-// NewDecay sizes the sweep for n stations.
-func NewDecay(n int) *Decay {
+func NewDecay(n int) *Sweep {
 	l := int(math.Ceil(math.Log2(float64(n)))) + 1
-	if l < 2 {
-		l = 2
-	}
-	return &Decay{L: l}
+	return &Sweep{L: max(l, 2), name: "decay"}
 }
-
-// Name implements Policy.
-func (d *Decay) Name() string { return "decay" }
-
-// Prepare implements Policy (no oracle state).
-func (d *Decay) Prepare(int, []bool) {}
-
-// TxProb implements Policy.
-func (d *Decay) TxProb(_, t, at int) float64 {
-	k := (t - at) % d.L
-	return math.Pow(2, -float64(1+k))
-}
-
-// DaumStyle sweeps Θ(log n + α·log Rs) probability levels, modelling the
-// granularity dependence of [5]: with no geometry knowledge the sweep
-// must cover every distance scale of the network.
-type DaumStyle struct {
-	L int
-}
-
-var _ Policy = (*DaumStyle)(nil)
 
 // NewDaumStyle sizes the sweep from the network's measured granularity
-// Rs and path-loss α: L = ceil(log2 n) + ceil(α·log2 Rs) + 1.
-func NewDaumStyle(net *network.Network) *DaumStyle {
-	n := float64(net.N())
-	rs := net.Granularity()
-	if rs < 2 {
-		rs = 2
-	}
-	l := int(math.Ceil(math.Log2(n))) + int(math.Ceil(net.Params.Alpha*math.Log2(rs))) + 1
-	return &DaumStyle{L: l}
+// Rs and path-loss α: L = ceil(log2 n) + ceil(α·log2 Rs) + 1. It models
+// the granularity dependence of [5]: with no geometry knowledge the
+// sweep must cover every distance scale of the network.
+func NewDaumStyle(net *network.Network) *Sweep {
+	rs := max(net.Granularity(), 2)
+	l := int(math.Ceil(math.Log2(float64(net.N())))) + int(math.Ceil(net.Params.Alpha*math.Log2(rs))) + 1
+	return &Sweep{L: l, name: "daum-style"}
 }
 
 // Name implements Policy.
-func (d *DaumStyle) Name() string { return "daum-style" }
+func (d *Sweep) Name() string { return d.name }
 
 // Prepare implements Policy (no oracle state).
-func (d *DaumStyle) Prepare(int, []bool) {}
+func (d *Sweep) Prepare(int, []bool) {}
 
-// TxProb implements Policy.
-func (d *DaumStyle) TxProb(_, t, at int) float64 {
-	k := (t - at) % d.L
-	return math.Pow(2, -float64(1+k))
+// TxProb implements Policy. Ldexp(1, -(1+k)) is 2^-(1+k) exactly — the
+// same value math.Pow(2, -(1+k)) returns — without Pow's cost.
+func (d *Sweep) TxProb(_, t, at int) float64 {
+	return math.Ldexp(1, -(1 + (t-at)%d.L))
 }
 
 // DensityOracle transmits with probability c/(number of informed

@@ -42,6 +42,21 @@ func TestDecayLevels(t *testing.T) {
 	}
 }
 
+// TestSweepTxProbMatchesPow pins the sweep's probabilities to the
+// math.Pow(2, -(1+k)) reference bit for bit, across and beyond the
+// normal range, so flood tables cannot drift with the cheaper Ldexp.
+func TestSweepTxProbMatchesPow(t *testing.T) {
+	d := &Sweep{L: 1100}
+	for k := 0; k < d.L; k++ {
+		if got, want := d.TxProb(0, k, 0), math.Pow(2, -float64(1+k)); math.Float64bits(got) != math.Float64bits(want) {
+			t.Fatalf("k=%d: TxProb %v, Pow %v", k, got, want)
+		}
+	}
+	if NewDecay(16).Name() != "decay" || NewDaumStyle(genUniform(t, 16, 4, 1)).Name() != "daum-style" {
+		t.Fatal("sweep policies lost their table names")
+	}
+}
+
 func TestDaumStyleLevelsGrowWithGranularity(t *testing.T) {
 	cfg := netgen.Config{Params: sinr.DefaultParams(), Seed: 1}
 	smooth, err := netgen.Path(cfg, 32, 0.9)

@@ -117,6 +117,7 @@ type Handle struct {
 	started  time.Time
 	finished time.Time
 	done     chan struct{}
+	payload  any
 }
 
 // ID returns the manager-assigned job id.
@@ -139,6 +140,22 @@ func (h *Handle) Times() (created, started, finished time.Time) {
 	h.mu.Lock()
 	defer h.mu.Unlock()
 	return h.created, h.started, h.finished
+}
+
+// SetPayload attaches the caller's per-job state to the handle, so the
+// manager's job table — and its one retention bound — carries it too.
+// Callers set it once the state is complete; until then Payload is nil.
+func (h *Handle) SetPayload(v any) {
+	h.mu.Lock()
+	h.payload = v
+	h.mu.Unlock()
+}
+
+// Payload returns what SetPayload attached, or nil.
+func (h *Handle) Payload() any {
+	h.mu.Lock()
+	defer h.mu.Unlock()
+	return h.payload
 }
 
 // Done returns a channel closed when the job reaches a terminal state.
@@ -260,10 +277,10 @@ const (
 	drainWindow  = 30 * time.Second
 )
 
-// maxRetained bounds how many finished jobs stay queryable; older ones
+// MaxRetained bounds how many finished jobs stay queryable; older ones
 // are pruned oldest-first so a long-running daemon does not grow
-// without bound.
-const maxRetained = 4096
+// without bound. Payloads are pruned with their jobs.
+const MaxRetained = 4096
 
 // New starts a manager with cfg's (defaulted) queue depth and worker
 // pool.
@@ -404,9 +421,9 @@ func (m *Manager) admit(id, name string, run RunFunc) (*Handle, error) {
 	return h, nil
 }
 
-// pruneLocked drops the oldest finished jobs beyond maxRetained.
+// pruneLocked drops the oldest finished jobs beyond MaxRetained.
 func (m *Manager) pruneLocked() {
-	for len(m.order) > maxRetained {
+	for len(m.order) > MaxRetained {
 		id := m.order[0]
 		if h, ok := m.jobs[id]; ok {
 			if s, _ := h.State(); !s.Terminal() {

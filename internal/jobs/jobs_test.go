@@ -377,3 +377,44 @@ func TestRegisterFailed(t *testing.T) {
 		t.Fatalf("Submitted %d != Completed %d after drain", st.Submitted, st.Completed)
 	}
 }
+
+// TestRetentionPrunesOldest pins the one retention bound: past
+// MaxRetained finished jobs, admission drops the oldest — handle and
+// payload together — and Jobs lists exactly the newest MaxRetained in
+// submission order.
+func TestRetentionPrunesOldest(t *testing.T) {
+	const extra = 5
+	m := New(Config{Workers: 1, QueueDepth: 4})
+	defer m.Shutdown(context.Background())
+	ctx := waitCtx(t)
+	var ids []string
+	for i := 0; i < MaxRetained+extra; i++ {
+		h, err := m.Submit("noop", func(ctx context.Context, _ int) error { return nil })
+		if err != nil {
+			t.Fatal(err)
+		}
+		h.SetPayload(i)
+		if err := h.Wait(ctx); err != nil {
+			t.Fatal(err)
+		}
+		ids = append(ids, h.ID())
+	}
+	for _, id := range ids[:extra] {
+		if _, ok := m.Get(id); ok {
+			t.Fatalf("job %s past the retention bound still retained", id)
+		}
+	}
+	listed := m.Jobs()
+	if len(listed) != MaxRetained {
+		t.Fatalf("Jobs lists %d, want %d", len(listed), MaxRetained)
+	}
+	for i, h := range listed {
+		want := ids[extra+i]
+		if h.ID() != want || h.Payload() != extra+i {
+			t.Fatalf("Jobs[%d] = %s payload %v, want %s payload %d", i, h.ID(), h.Payload(), want, extra+i)
+		}
+		if got, ok := m.Get(want); !ok || got != h {
+			t.Fatalf("retained job %s not queryable", want)
+		}
+	}
+}

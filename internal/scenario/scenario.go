@@ -6,8 +6,12 @@
 // Every family declares its typed parameters (name, default, range,
 // doc), so command-line tools list the full catalogue with -list and
 // experiments can sweep *every* registered family without naming any
-// of them (exp.E12CrossFamilySweep). internal/netgen keeps its
-// function-per-family surface as thin wrappers over this registry.
+// of them (exp.E12CrossFamilySweep). The grammar, parameter
+// resolution, registration checks and catalogue are internal/spec's,
+// shared with the protocol registry; this package adds what is
+// particular to geometry — the physics and seed a Build carries, and
+// ForN sizing. internal/netgen keeps its function-per-family surface
+// as thin wrappers over this registry.
 //
 // Registering a family makes it visible everywhere at once: the three
 // CLIs (netgen, broadcast-sim, experiments), the cross-family sweep,
@@ -15,59 +19,53 @@
 package scenario
 
 import (
-	"fmt"
-	"math"
-	"sort"
-	"strings"
-	"sync"
-
 	"sinrcast/internal/network"
 	"sinrcast/internal/rng"
 	"sinrcast/internal/sinr"
+	"sinrcast/internal/spec"
 )
 
-// Param describes one parameter of a topology family.
-type Param struct {
-	// Name is the key used in Spec.Params and the compact string form.
-	Name string
-	// Doc is a one-line description shown by -list.
-	Doc string
-	// Default is the value used when a Spec omits the parameter.
-	Default float64
-	// Min and Max bound the accepted values (inclusive). Builders may
-	// apply stricter, physics-dependent checks (e.g. spacing ≤ comm
-	// radius) that static bounds cannot express.
-	Min, Max float64
-	// Int marks integer-valued parameters (station counts etc.).
-	Int bool
+// Param describes one parameter of a topology family. Builders may
+// apply stricter, physics-dependent checks (e.g. spacing ≤ comm
+// radius) than its static bounds.
+type Param = spec.Param
+
+// SpecError marks a spec-vs-physics mismatch detected inside a
+// builder: the parameters are statically valid (Validate passes) but
+// their combination cannot describe a deployment — a dumbbell blob
+// radius beyond the communication radius, a lattice spacing that
+// disconnects the grid, a hole larger than the lattice. It is the one
+// spec.SpecError type, shared with the protocol registry.
+type SpecError = spec.SpecError
+
+// specErrorf builds a SpecError; used by builders for their
+// physics-dependent parameter checks.
+var specErrorf = spec.Errorf
+
+// Spec is a declarative scenario: a family name plus parameter
+// overrides. The zero value of Params means "all defaults". A Spec,
+// the physical parameters, and a seed fully determine the generated
+// network (see Generate).
+type Spec struct {
+	Family string
+	Params map[string]float64
 }
+
+// String renders the canonical compact form "family:k=v,k=v" with
+// parameters sorted by name; Parse(s.String()) reproduces s exactly.
+func (s Spec) String() string { return spec.Format(s.Family, s.Params) }
 
 // Build carries the resolved inputs of one generation: physical
 // parameters, seed, and the family's parameter values with defaults
-// filled in and ranges checked.
+// filled in and ranges checked (read with Float and Int).
 type Build struct {
 	// Phys are the physical parameters (notably ε, which fixes the
 	// communication radius 1-ε).
 	Phys sinr.Params
 	// Seed drives all sampling.
 	Seed uint64
-
-	params map[string]float64
+	spec.Values
 }
-
-// Float returns the resolved value of a declared parameter. It panics
-// on undeclared names: that is a bug in the family definition, not a
-// user error (user input is validated before Build is constructed).
-func (b Build) Float(name string) float64 {
-	v, ok := b.params[name]
-	if !ok {
-		panic(fmt.Sprintf("scenario: builder read undeclared parameter %q", name))
-	}
-	return v
-}
-
-// Int returns a declared integer parameter.
-func (b Build) Int(name string) int { return int(b.Float(name)) }
 
 // Rng returns a fresh deterministic stream seeded from Build.Seed.
 func (b Build) Rng() *rng.Source { return rng.New(b.Seed) }
@@ -90,117 +88,69 @@ type Family struct {
 	Build func(b Build) (*network.Network, error)
 }
 
-// param looks up a declared parameter by name.
-func (f *Family) param(name string) (Param, bool) {
-	for _, p := range f.Params {
-		if p.Name == name {
-			return p, true
-		}
-	}
-	return Param{}, false
-}
-
 // SpecForN returns a Spec sizing the family to approximately n
 // stations (exactly n for most families).
 func (f *Family) SpecForN(n int) Spec {
 	if f.ForN != nil {
 		return Spec{Family: f.Name, Params: f.ForN(n)}
 	}
-	if _, ok := f.param("n"); ok {
+	if _, ok := spec.Find(f.Params, "n"); ok {
 		return Spec{Family: f.Name, Params: map[string]float64{"n": float64(n)}}
 	}
 	return Spec{Family: f.Name}
 }
 
-var (
-	regMu    sync.RWMutex
-	registry = map[string]*Family{}
-)
+var families = spec.New(spec.Label{
+	Pkg: "scenario", Kind: "family", Subject: "family ",
+	Head: "family", Pair: "name=value", Fn: "Build", Reader: "builder",
+}, func(f *Family) spec.Decl {
+	return spec.Decl{Name: f.Name, Doc: f.Doc, Params: f.Params, Runnable: f.Build != nil}
+})
 
-// Register adds a family to the registry. It panics on an empty or
-// duplicate name, a missing Build function, or a Param whose default
-// violates its own bounds — all programming errors caught at init.
-func Register(f Family) {
-	if f.Name == "" {
-		panic("scenario: Register with empty family name")
-	}
-	if f.Build == nil {
-		panic(fmt.Sprintf("scenario: family %q has no Build function", f.Name))
-	}
-	seen := map[string]bool{}
-	for _, p := range f.Params {
-		if p.Name == "" || seen[p.Name] {
-			panic(fmt.Sprintf("scenario: family %q declares empty or duplicate parameter %q", f.Name, p.Name))
-		}
-		seen[p.Name] = true
-		if p.Default < p.Min || p.Default > p.Max {
-			panic(fmt.Sprintf("scenario: family %q parameter %q default %v outside [%v, %v]",
-				f.Name, p.Name, p.Default, p.Min, p.Max))
-		}
-		if p.Int && p.Default != math.Trunc(p.Default) {
-			panic(fmt.Sprintf("scenario: family %q integer parameter %q has fractional default %v",
-				f.Name, p.Name, p.Default))
-		}
-	}
-	regMu.Lock()
-	defer regMu.Unlock()
-	if _, dup := registry[f.Name]; dup {
-		panic(fmt.Sprintf("scenario: family %q registered twice", f.Name))
-	}
-	cp := f
-	registry[f.Name] = &cp
-}
+// Register adds a family to the registry; it panics on programming
+// errors (see spec.Registry.Register).
+func Register(f Family) { families.Register(f) }
 
 // Lookup returns the named family.
-func Lookup(name string) (*Family, bool) {
-	regMu.RLock()
-	defer regMu.RUnlock()
-	f, ok := registry[name]
-	return f, ok
-}
+func Lookup(name string) (*Family, bool) { return families.Lookup(name) }
 
 // Families returns every registered family sorted by name.
-func Families() []*Family {
-	regMu.RLock()
-	out := make([]*Family, 0, len(registry))
-	for _, f := range registry {
-		out = append(out, f)
-	}
-	regMu.RUnlock()
-	sort.Slice(out, func(i, j int) bool { return out[i].Name < out[j].Name })
-	return out
-}
+func Families() []*Family { return families.All() }
 
 // Names returns the sorted names of all registered families.
-func Names() []string {
-	fams := Families()
-	out := make([]string, len(fams))
-	for i, f := range fams {
-		out[i] = f.Name
-	}
-	return out
+func Names() []string { return families.Names() }
+
+// Describe renders the family catalogue with parameter docs — the
+// text behind every CLI's -list flag.
+func Describe() string { return families.Describe() }
+
+// Parse reads the compact spec form "family" or
+// "family:name=value,name=value". The family must be registered and
+// every parameter declared by it; values must parse as numbers.
+// (Range and integrality are checked by Validate and Generate.)
+func Parse(s string) (Spec, error) {
+	name, params, err := families.Parse(s)
+	return Spec{Family: name, Params: params}, err
 }
 
-// Describe renders the catalogue of registered families with their
-// parameter docs — the text behind every CLI's -list flag.
-func Describe() string {
-	var sb strings.Builder
-	for _, f := range Families() {
-		fmt.Fprintf(&sb, "%s — %s\n", f.Name, f.Doc)
-		width := 0
-		for _, p := range f.Params {
-			if len(p.Name) > width {
-				width = len(p.Name)
-			}
-		}
-		for _, p := range f.Params {
-			def := formatValue(p.Default)
-			kind := ""
-			if p.Int {
-				kind = ", int"
-			}
-			fmt.Fprintf(&sb, "    %-*s  %s (default %s%s)\n", width, p.Name, p.Doc, def, kind)
-		}
+// Validate checks a spec against the registry without building it:
+// the family must exist and every override must be declared, in
+// range, and integral where required. (Builders may still reject
+// physics-dependent combinations at Generate time.) CLIs use it to
+// classify bad specs as usage errors.
+func Validate(s Spec) error {
+	_, _, err := families.Resolve(s.Family, s.Params)
+	return err
+}
+
+// Generate builds the network described by s under the given
+// physical parameters and seed. Defaults fill omitted parameters;
+// unknown names, out-of-range values, and fractional values for
+// integer parameters are rejected.
+func Generate(s Spec, phys sinr.Params, seed uint64) (*network.Network, error) {
+	f, vals, err := families.Resolve(s.Family, s.Params)
+	if err != nil {
+		return nil, err
 	}
-	return sb.String()
+	return f.Build(Build{Phys: phys, Seed: seed, Values: vals})
 }

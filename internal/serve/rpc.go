@@ -122,13 +122,7 @@ func (s *Server) dispatchRPC(method string, params json.RawMessage) (any, *rpcEr
 		}
 		return s.status(st), nil
 	case "job.list":
-		out := []statusJSON{}
-		for _, h := range s.mgr.Jobs() {
-			if st, ok := s.state(h.ID()); ok {
-				out = append(out, s.status(st))
-			}
-		}
-		return out, nil
+		return s.list(), nil
 	case "cache.stats":
 		return map[string]any{"cache": s.cache.Stats(), "jobs": s.mgr.Stats()}, nil
 	default:

@@ -91,7 +91,8 @@ func (c Config) withDefaults() Config {
 
 // jobState pairs a jobs.Handle with the serve-side artifacts: the
 // original request, the event log feeding /stream, and the result
-// table.
+// table. It rides in the jobs table as the handle's payload, so the
+// manager's retention bound prunes both layers at once.
 type jobState struct {
 	id     string
 	req    *JobRequest
@@ -128,8 +129,8 @@ func (st *jobState) getTable() *stats.Table {
 	return st.table
 }
 
-// Server is the daemon state: manager, cache, journal, and the job
-// registry.
+// Server is the daemon state: manager (whose job table also holds each
+// job's jobState), cache, and journal.
 type Server struct {
 	cfg   Config
 	mgr   *jobs.Manager
@@ -164,9 +165,6 @@ type Server struct {
 	// journal.
 	watchers sync.WaitGroup
 
-	mu     sync.Mutex
-	states map[string]*jobState
-
 	// runHook, when set by tests, runs at the start of every job body
 	// with the job id; it lets tests gate job execution
 	// deterministically (backpressure, cancellation, shutdown).
@@ -183,7 +181,6 @@ func New(cfg Config) *Server {
 		cfg:        cfg,
 		mgr:        jobs.New(cfg.Jobs),
 		cache:      NewCache(cfg.CacheBytes),
-		states:     make(map[string]*jobState),
 		replayDone: done,
 	}
 	s.ready.Store(true)
@@ -403,10 +400,9 @@ func (s *Server) admit(req *JobRequest, id string, resumeRows [][]string, resume
 	}
 	st.id = h.ID()
 	st.handle = h
-	s.mu.Lock()
-	s.states[st.id] = st
-	s.pruneLocked()
-	s.mu.Unlock()
+	// Published only now, complete: a status request racing admission
+	// finds no payload and answers 404.
+	h.SetPayload(st)
 	// Write-ahead: the accept record is durable before the admission
 	// response leaves the daemon, so a crash after this point can never
 	// lose the job.
@@ -558,10 +554,7 @@ func (s *Server) failReplayed(rj *replayedJob, cause error) {
 		st := &jobState{id: rj.id, req: rj.req, handle: h, log: newEventLog()}
 		st.log.append(event{Type: "state", Job: rj.id, State: string(jobs.StateFailed), Error: ferr.Error()})
 		st.log.close()
-		s.mu.Lock()
-		s.states[rj.id] = st
-		s.pruneLocked()
-		s.mu.Unlock()
+		h.SetPayload(st)
 	}
 	s.journal.Append(journalRecord{Op: "done", ID: rj.id,
 		State: string(jobs.StateFailed), Error: ferr.Error()})
@@ -590,26 +583,6 @@ func contiguousRows(rows map[int][]string) [][]string {
 			return out
 		}
 		out = append(out, row)
-	}
-}
-
-// maxStates mirrors the jobs layer's retention bound for the
-// serve-side artifacts (event logs, tables).
-const maxStates = 4096
-
-func (s *Server) pruneLocked() {
-	if len(s.states) <= maxStates {
-		return
-	}
-	for id, st := range s.states {
-		if len(s.states) <= maxStates {
-			break
-		}
-		if state, _ := st.handle.State(); state.Terminal() {
-			if _, known := s.mgr.Get(id); !known {
-				delete(s.states, id)
-			}
-		}
 	}
 }
 
@@ -696,24 +669,31 @@ func (s *Server) status(st *jobState) statusJSON {
 	return out
 }
 
+// state returns the job's serve state; false for an unknown or pruned
+// id and for a job whose admission has not finished publishing it.
 func (s *Server) state(id string) (*jobState, bool) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	st, ok := s.states[id]
+	h, ok := s.mgr.Get(id)
+	if !ok {
+		return nil, false
+	}
+	st, ok := h.Payload().(*jobState)
 	return st, ok
 }
 
-func (s *Server) handleList(w http.ResponseWriter, r *http.Request) {
-	var out []statusJSON
+// list returns the status of every retained job in submission order —
+// the body of both GET /v1/jobs and job.list.
+func (s *Server) list() []statusJSON {
+	out := []statusJSON{}
 	for _, h := range s.mgr.Jobs() {
-		if st, ok := s.state(h.ID()); ok {
+		if st, ok := h.Payload().(*jobState); ok {
 			out = append(out, s.status(st))
 		}
 	}
-	if out == nil {
-		out = []statusJSON{}
-	}
-	writeJSON(w, http.StatusOK, out)
+	return out
+}
+
+func (s *Server) handleList(w http.ResponseWriter, r *http.Request) {
+	writeJSON(w, http.StatusOK, s.list())
 }
 
 func (s *Server) handleStatus(w http.ResponseWriter, r *http.Request) {

@@ -411,3 +411,68 @@ func TestHealthz(t *testing.T) {
 		t.Fatalf("healthz: %d %s", resp.StatusCode, body)
 	}
 }
+
+// TestRetentionOneTable pins that the jobs table's retention bound is
+// the daemon's only one: past jobs.MaxRetained finished jobs the oldest
+// answer 404 on status, the newest 200, and GET /v1/jobs and job.list
+// list exactly the manager's retained jobs in submission order.
+func TestRetentionOneTable(t *testing.T) {
+	const extra = 3
+	s, ts := testServer(t, Config{})
+	ctx := context.Background()
+	req := JobRequest{Scenario: "path:n=8", Protocol: "decay", Seed: 1, Trials: 1}
+	var ids []string
+	for i := 0; i < jobs.MaxRetained+extra; i++ {
+		r := req
+		st, err := s.submit(&r)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := st.handle.Wait(ctx); err != nil {
+			t.Fatal(err)
+		}
+		ids = append(ids, st.id)
+	}
+	for i, id := range []string{ids[0], ids[extra-1], ids[extra], ids[len(ids)-1]} {
+		want := http.StatusOK
+		if i < 2 {
+			want = http.StatusNotFound
+		}
+		if resp, body := get(t, ts.URL+"/v1/jobs/"+id); resp.StatusCode != want {
+			t.Fatalf("status of %s: %d %s, want %d", id, resp.StatusCode, body, want)
+		}
+	}
+
+	var want []string
+	for _, h := range s.mgr.Jobs() {
+		want = append(want, h.ID())
+	}
+	if len(want) != jobs.MaxRetained || want[0] != ids[extra] {
+		t.Fatalf("manager retains %d jobs from %s, want %d from %s", len(want), want[0], jobs.MaxRetained, ids[extra])
+	}
+	_, body := get(t, ts.URL+"/v1/jobs")
+	var rest []statusJSON
+	if err := json.Unmarshal(body, &rest); err != nil {
+		t.Fatal(err)
+	}
+	resp, err := http.Post(ts.URL+"/rpc", "application/json", strings.NewReader(`{"jsonrpc":"2.0","id":1,"method":"job.list"}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var rpc struct{ Result []statusJSON }
+	err = json.NewDecoder(resp.Body).Decode(&rpc)
+	resp.Body.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, got := range map[string][]statusJSON{"GET /v1/jobs": rest, "job.list": rpc.Result} {
+		if len(got) != len(want) {
+			t.Fatalf("%s lists %d jobs, manager %d", name, len(got), len(want))
+		}
+		for i := range got {
+			if got[i].ID != want[i] {
+				t.Fatalf("%s[%d] = %s, manager has %s", name, i, got[i].ID, want[i])
+			}
+		}
+	}
+}
